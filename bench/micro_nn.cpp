@@ -56,29 +56,63 @@ void BM_Im2Col(benchmark::State &State) {
 }
 BENCHMARK(BM_Im2Col);
 
+/// Random images of side \p Side, one per seed.
+Image randomImage(size_t Side, uint64_t Seed) {
+  Rng IR(Seed);
+  Image Img(Side, Side);
+  for (float &V : Img.raw())
+    V = IR.uniformF();
+  return Img;
+}
+
+/// A full forward per query: two unrelated images alternate, so neither is
+/// ever a few pixels away from the classifier's base image.
 void BM_ForwardQuery(benchmark::State &State) {
   const Arch A = static_cast<Arch>(State.range(0));
   const auto Side = static_cast<size_t>(State.range(1));
   Rng R(3);
   auto Net = buildModel(A, 10, Side, R);
   NNClassifier C(std::move(Net), 10, archName(A));
-  Rng IR(4);
-  Image Img(Side, Side);
-  for (float &V : Img.raw())
-    V = IR.uniformF();
+  const Image Imgs[2] = {randomImage(Side, 4), randomImage(Side, 5)};
+  size_t I = 0;
   for (auto _ : State) {
-    const std::vector<float> S = C.scores(Img);
+    const std::vector<float> S = C.scores(Imgs[I++ & 1]);
     benchmark::DoNotOptimize(S.data());
   }
   State.SetLabel(std::string(archName(A)) + "@" + std::to_string(Side));
 }
-BENCHMARK(BM_ForwardQuery)
-    ->Args({static_cast<long>(Arch::MiniVGG), 32})
-    ->Args({static_cast<long>(Arch::MiniResNet), 32})
-    ->Args({static_cast<long>(Arch::MiniGoogLeNet), 32})
-    ->Args({static_cast<long>(Arch::MiniDenseNet), 32})
-    ->Args({static_cast<long>(Arch::MiniDenseNet), 40})
-    ->Args({static_cast<long>(Arch::MiniResNet50), 40});
+
+/// The attack's query: the base image with one pixel set to an RGB corner,
+/// cycling over every location (incremental inference, DESIGN.md §16).
+void BM_OnePixelQuery(benchmark::State &State) {
+  const Arch A = static_cast<Arch>(State.range(0));
+  const auto Side = static_cast<size_t>(State.range(1));
+  Rng R(3);
+  auto Net = buildModel(A, 10, Side, R);
+  NNClassifier C(std::move(Net), 10, archName(A));
+  const Image Base = randomImage(Side, 4);
+  C.scores(Base);
+  size_t I = 0;
+  for (auto _ : State) {
+    const size_t Loc = I++ % (Side * Side);
+    const float V = static_cast<float>(I & 1);
+    const Image Q = Base.withPixel(Loc / Side, Loc % Side, Pixel{V, V, V});
+    const std::vector<float> S = C.scores(Q);
+    benchmark::DoNotOptimize(S.data());
+  }
+  State.SetLabel(std::string(archName(A)) + "@" + std::to_string(Side));
+}
+
+void zooArgs(benchmark::internal::Benchmark *B) {
+  B->Args({static_cast<long>(Arch::MiniVGG), 32})
+      ->Args({static_cast<long>(Arch::MiniResNet), 32})
+      ->Args({static_cast<long>(Arch::MiniGoogLeNet), 32})
+      ->Args({static_cast<long>(Arch::MiniDenseNet), 32})
+      ->Args({static_cast<long>(Arch::MiniDenseNet), 40})
+      ->Args({static_cast<long>(Arch::MiniResNet50), 40});
+}
+BENCHMARK(BM_ForwardQuery)->Apply(zooArgs);
+BENCHMARK(BM_OnePixelQuery)->Apply(zooArgs);
 
 void BM_TrainStep(benchmark::State &State) {
   Rng R(5);

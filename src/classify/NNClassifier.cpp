@@ -6,15 +6,28 @@
 
 #include "classify/NNClassifier.h"
 
+#include "tensor/Gemm.h"
 #include "tensor/TensorOps.h"
 
+#include <cstring>
+
 using namespace oppsla;
+
+namespace {
+
+/// Queries with more changed pixels than this run in full: the cones of a
+/// few pixels already cover most of a small map after two or three
+/// layers, and diffing stops early once the count is exceeded.
+constexpr size_t MaxDeltaPixels = 8;
+
+} // namespace
 
 NNClassifier::NNClassifier(std::unique_ptr<Sequential> Model,
                            size_t NumClasses, std::string Name)
     : Model(std::move(Model)), Classes(NumClasses),
       ModelName(std::move(Name)) {
   assert(this->Model && "null model");
+  this->Model->freeze();
 }
 
 std::unique_ptr<Classifier> NNClassifier::clone() const {
@@ -49,46 +62,74 @@ std::unique_ptr<Classifier> NNClassifier::clone() const {
   return Out;
 }
 
+DeltaBatch NNClassifier::diffAgainstBase(std::span<const Image> Imgs) const {
+  DeltaBatch D;
+  D.Items.resize(Imgs.size());
+  for (size_t I = 0; I != Imgs.size(); ++I) {
+    const Image &Img = Imgs[I];
+    DirtyRegion &R = D.Items[I];
+    if (!Base.empty() && Img.height() == Base.height() &&
+        Img.width() == Base.width()) {
+      // Exact byte comparison, never a hash: a stale base may cost a
+      // full forward but can never change a result.
+      const float *A = Img.raw().data(), *B = Base.raw().data();
+      R.Full = false;
+      for (size_t P = 0, E = Img.numPixels(); P != E && !R.Full; ++P) {
+        if (std::memcmp(A + 3 * P, B + 3 * P, 3 * sizeof(float)) == 0)
+          continue;
+        if (R.Rects.size() == MaxDeltaPixels)
+          R.Full = true;
+        const size_t Row = P / Img.width(), Col = P % Img.width();
+        R.Rects.push_back({Row, Row + 1, Col, Col + 1});
+      }
+    }
+    if (R.Full) {
+      R.Rects.clear();
+      D.NewBase = I;
+    }
+  }
+  return D;
+}
+
+Tensor NNClassifier::probabilities(std::span<const Image> Imgs) {
+  const size_t N = Imgs.size();
+  const size_t H = Imgs[0].height(), W = Imgs[0].width();
+  InputScratch.ensureShape({N, 3, H, W});
+  for (size_t I = 0; I != N; ++I) {
+    assert(Imgs[I].height() == H && Imgs[I].width() == W &&
+           "mixed image shapes in one batch");
+    Imgs[I].writeToTensorBatch(InputScratch, I);
+  }
+
+  Tensor Logits;
+  if (kernels::naive()) {
+    Base = Image();
+    Logits = Model->forward(InputScratch, /*Train=*/false);
+  } else {
+    DeltaBatch D = diffAgainstBase(Imgs);
+    Logits = Model->forwardDelta(InputScratch, D);
+    if (D.NewBase != DeltaBatch::NoBase)
+      Base = Imgs[D.NewBase];
+  }
+  assert(Logits.numel() == N * Classes && "model output size mismatch");
+  Tensor Probs = Logits.reshaped({N, Classes});
+  softmaxInPlace(Probs);
+  return Probs;
+}
+
 std::vector<std::vector<float>> NNClassifier::scoresBatch(
     std::span<const Image> Imgs) {
   if (Imgs.empty())
     return {};
-  // The batch-1 path keeps its dedicated scratch so interleaved single
-  // queries never reshape the batch buffer (and vice versa).
-  if (Imgs.size() == 1)
-    return {scores(Imgs[0])};
-
-  const size_t N = Imgs.size();
-  const size_t H = Imgs[0].height(), W = Imgs[0].width();
-  if (BatchInputScratch.rank() != 4 || BatchInputScratch.dim(0) != N ||
-      BatchInputScratch.dim(2) != H || BatchInputScratch.dim(3) != W)
-    BatchInputScratch = Tensor({N, 3, H, W});
-  for (size_t I = 0; I != N; ++I) {
-    assert(Imgs[I].height() == H && Imgs[I].width() == W &&
-           "mixed image shapes in one batch");
-    Imgs[I].writeToTensorBatch(BatchInputScratch, I);
-  }
-
-  Tensor Logits = Model->forward(BatchInputScratch, /*Train=*/false);
-  assert(Logits.numel() == N * Classes && "model output size mismatch");
-  Tensor Probs = Logits.reshaped({N, Classes});
-  softmaxInPlace(Probs);
-
-  std::vector<std::vector<float>> Out(N);
+  const Tensor Probs = probabilities(Imgs);
+  std::vector<std::vector<float>> Out(Imgs.size());
   const float *Src = Probs.data();
-  for (size_t I = 0; I != N; ++I)
+  for (size_t I = 0; I != Imgs.size(); ++I)
     Out[I].assign(Src + I * Classes, Src + (I + 1) * Classes);
   return Out;
 }
 
 std::vector<float> NNClassifier::scores(const Image &Img) {
-  if (InputScratch.rank() != 4 || InputScratch.dim(2) != Img.height() ||
-      InputScratch.dim(3) != Img.width())
-    InputScratch = Tensor({1, 3, Img.height(), Img.width()});
-  Img.writeToTensor(InputScratch);
-  Tensor Logits = Model->forward(InputScratch, /*Train=*/false);
-  assert(Logits.numel() == Classes && "model output size mismatch");
-  Tensor Probs = Logits.reshaped({Classes});
-  softmaxInPlace(Probs);
-  return Probs.vec();
+  Tensor Probs = probabilities(std::span<const Image>(&Img, 1));
+  return std::move(Probs.vec());
 }

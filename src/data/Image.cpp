@@ -50,20 +50,8 @@ uint64_t Image::contentHash() const {
 
 Tensor Image::toTensor() const {
   Tensor T({1, 3, H, W});
-  writeToTensor(T);
+  writeToTensorBatch(T, 0);
   return T;
-}
-
-void Image::writeToTensor(Tensor &Out) const {
-  assert(Out.rank() == 4 && Out.dim(0) == 1 && Out.dim(1) == 3 &&
-         Out.dim(2) == H && Out.dim(3) == W && "tensor shape mismatch");
-  float *Dst = Out.data();
-  const size_t Plane = H * W;
-  for (size_t I = 0; I != Plane; ++I) {
-    Dst[I] = Data[I * 3 + 0];
-    Dst[Plane + I] = Data[I * 3 + 1];
-    Dst[2 * Plane + I] = Data[I * 3 + 2];
-  }
 }
 
 void Image::writeToTensorBatch(Tensor &Out, size_t Index) const {

@@ -80,10 +80,6 @@ public:
   /// Converts to a {1, 3, H, W} NCHW tensor for the nn substrate.
   Tensor toTensor() const;
 
-  /// Writes this image's channels into an existing {1,3,H,W} tensor
-  /// without allocation; shapes must match.
-  void writeToTensor(Tensor &Out) const;
-
   /// Writes this image into slot \p Index of an existing {N,3,H,W} batch
   /// tensor (the assembly step of Classifier::scoresBatch).
   void writeToTensorBatch(Tensor &Out, size_t Index) const;

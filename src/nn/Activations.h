@@ -15,6 +15,11 @@ namespace oppsla {
 class ReLU : public Layer {
 public:
   Tensor forward(const Tensor &In, bool Train) override;
+  /// Elementwise, so the dirty region passes through unchanged; a full
+  /// pass costs what copying a base output would.
+  Tensor forwardDelta(const Tensor &In, DeltaBatch &) override {
+    return forward(In, /*Train=*/false);
+  }
   Tensor backward(const Tensor &GradOut) override;
   std::string name() const override { return "relu"; }
 

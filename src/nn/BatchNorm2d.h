@@ -24,6 +24,11 @@ public:
                        float Eps = 1e-5f);
 
   Tensor forward(const Tensor &In, bool Train) override;
+  /// Elementwise at inference, so the dirty region passes through
+  /// unchanged; a full pass costs what copying a base output would.
+  Tensor forwardDelta(const Tensor &In, DeltaBatch &) override {
+    return forward(In, /*Train=*/false);
+  }
   Tensor backward(const Tensor &GradOut) override;
   void collectParams(const std::string &Prefix,
                      std::vector<ParamRef> &Params) override;

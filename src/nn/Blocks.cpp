@@ -40,16 +40,40 @@ ResidualBlock::ResidualBlock(size_t InC, size_t OutC, size_t Stride, Rng &R) {
 }
 
 Tensor ResidualBlock::forward(const Tensor &In, bool Train) {
-  Tensor F = Body.forward(In, Train);
-  Tensor Skip = Proj ? Proj->forward(In, Train) : In;
+  return run(In, Train, nullptr);
+}
+
+Tensor ResidualBlock::forwardDelta(const Tensor &In, DeltaBatch &D) {
+  return run(In, /*Train=*/false, &D);
+}
+
+void ResidualBlock::freeze() {
+  Body.freeze();
+  if (Proj)
+    Proj->freeze();
+}
+
+Tensor ResidualBlock::run(const Tensor &In, bool Train, DeltaBatch *D) {
+  // Both branches are exact everywhere, so the sum and ReLU below run in
+  // full and only the dirty regions need merging: the output can differ
+  // from the base wherever either branch does.
+  DeltaBatch SkipD;
+  if (D)
+    SkipD = *D;
+  Tensor F = D ? Body.forwardDelta(In, *D) : Body.forward(In, Train);
+  Tensor Skip = !Proj ? In
+                : D   ? Proj->forwardDelta(In, SkipD)
+                      : Proj->forward(In, Train);
+  if (D)
+    D->unite(SkipD);
   assert(F.shape() == Skip.shape() && "residual shape mismatch");
   F += Skip;
   if (Train)
     CachedSum = F;
   // Final ReLU applied in place on the sum.
-  float *D = F.data();
+  float *Data = F.data();
   for (size_t I = 0, E = F.numel(); I != E; ++I)
-    D[I] = D[I] > 0.0f ? D[I] : 0.0f;
+    Data[I] = Data[I] > 0.0f ? Data[I] : 0.0f;
   return F;
 }
 
@@ -119,13 +143,38 @@ InceptionBlock::InceptionBlock(size_t InC, size_t C1x1, size_t C3x3,
 }
 
 Tensor InceptionBlock::forward(const Tensor &In, bool Train) {
+  return run(In, Train, nullptr);
+}
+
+Tensor InceptionBlock::forwardDelta(const Tensor &In, DeltaBatch &D) {
+  return run(In, /*Train=*/false, &D);
+}
+
+void InceptionBlock::freeze() {
+  for (auto &Branch : Branches)
+    Branch->freeze();
+}
+
+Tensor InceptionBlock::run(const Tensor &In, bool Train, DeltaBatch *D) {
   assert(In.rank() == 4 && "inception expects NCHW");
   const size_t N = In.dim(0), H = In.dim(2), W = In.dim(3);
   Tensor Out({N, OutC, H, W});
   const size_t Plane = H * W;
+  // Every branch starts from the input's dirty region; the concatenation
+  // can differ from the base wherever any branch does.
+  DeltaBatch InD;
+  if (D) {
+    InD = *D;
+    for (DirtyRegion &R : D->Items)
+      R = DirtyRegion{/*Full=*/false, {}};
+  }
   size_t ChanBase = 0;
   for (size_t BIdx = 0; BIdx != Branches.size(); ++BIdx) {
-    Tensor BOut = Branches[BIdx]->forward(In, Train);
+    DeltaBatch BranchD = InD;
+    Tensor BOut = D ? Branches[BIdx]->forwardDelta(In, BranchD)
+                    : Branches[BIdx]->forward(In, Train);
+    if (D)
+      D->unite(BranchD);
     const size_t BC = BranchChannels[BIdx];
     assert(BOut.dim(1) == BC && BOut.dim(2) == H && BOut.dim(3) == W &&
            "inception branch output shape");
@@ -191,9 +240,26 @@ DenseLayer::DenseLayer(size_t InC, size_t Growth, Rng &R)
 }
 
 Tensor DenseLayer::forward(const Tensor &In, bool Train) {
+  return run(In, Train, nullptr);
+}
+
+Tensor DenseLayer::forwardDelta(const Tensor &In, DeltaBatch &D) {
+  return run(In, /*Train=*/false, &D);
+}
+
+void DenseLayer::freeze() { Body.freeze(); }
+
+Tensor DenseLayer::run(const Tensor &In, bool Train, DeltaBatch *D) {
   assert(In.rank() == 4 && In.dim(1) == InC && "dense layer input shape");
   const size_t N = In.dim(0), H = In.dim(2), W = In.dim(3);
-  Tensor G = Body.forward(In, Train);
+  // The output passes the input through next to the branch, so it can
+  // differ from the base wherever either does.
+  DeltaBatch BodyD;
+  if (D)
+    BodyD = *D;
+  Tensor G = D ? Body.forwardDelta(In, BodyD) : Body.forward(In, Train);
+  if (D)
+    D->unite(BodyD);
   Tensor Out({N, InC + Growth, H, W});
   const size_t Plane = H * W;
   for (size_t B = 0; B != N; ++B) {

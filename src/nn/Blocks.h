@@ -34,6 +34,8 @@ public:
   ResidualBlock(size_t InC, size_t OutC, size_t Stride, Rng &R);
 
   Tensor forward(const Tensor &In, bool Train) override;
+  Tensor forwardDelta(const Tensor &In, DeltaBatch &D) override;
+  void freeze() override;
   Tensor backward(const Tensor &GradOut) override;
   void collectParams(const std::string &Prefix,
                      std::vector<ParamRef> &Params) override;
@@ -43,6 +45,9 @@ public:
   std::string name() const override { return "residual"; }
 
 private:
+  /// forward() when \p D is null, forwardDelta() otherwise.
+  Tensor run(const Tensor &In, bool Train, DeltaBatch *D);
+
   Sequential Body;           ///< conv-bn-relu, conv-bn
   std::unique_ptr<Sequential> Proj; ///< 1x1 conv-bn when shapes differ
   Tensor CachedSum;          ///< pre-activation sum for the final ReLU
@@ -57,6 +62,8 @@ public:
   InceptionBlock(size_t InC, size_t C1x1, size_t C3x3, size_t C5x5, Rng &R);
 
   Tensor forward(const Tensor &In, bool Train) override;
+  Tensor forwardDelta(const Tensor &In, DeltaBatch &D) override;
+  void freeze() override;
   Tensor backward(const Tensor &GradOut) override;
   void collectParams(const std::string &Prefix,
                      std::vector<ParamRef> &Params) override;
@@ -68,6 +75,9 @@ public:
   size_t outChannels() const { return OutC; }
 
 private:
+  /// forward() when \p D is null, forwardDelta() otherwise.
+  Tensor run(const Tensor &In, bool Train, DeltaBatch *D);
+
   std::vector<std::unique_ptr<Sequential>> Branches;
   std::vector<size_t> BranchChannels;
   size_t OutC;
@@ -80,6 +90,8 @@ public:
   DenseLayer(size_t InC, size_t Growth, Rng &R);
 
   Tensor forward(const Tensor &In, bool Train) override;
+  Tensor forwardDelta(const Tensor &In, DeltaBatch &D) override;
+  void freeze() override;
   Tensor backward(const Tensor &GradOut) override;
   void collectParams(const std::string &Prefix,
                      std::vector<ParamRef> &Params) override;
@@ -91,6 +103,9 @@ public:
   size_t outChannels() const { return InC + Growth; }
 
 private:
+  /// forward() when \p D is null, forwardDelta() otherwise.
+  Tensor run(const Tensor &In, bool Train, DeltaBatch *D);
+
   size_t InC, Growth;
   Sequential Body;
 };

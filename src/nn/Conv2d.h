@@ -15,6 +15,7 @@ namespace oppsla {
 
 class BatchNorm2d;
 class Rng;
+struct GemmEpilogue;
 
 /// 2-D convolution over NCHW tensors, lowered to GEMM via im2col.
 ///
@@ -34,9 +35,20 @@ public:
   /// the unfused layers in sequence (DESIGN.md §12).
   Tensor forwardFused(const Tensor &In, const BatchNorm2d *Bn, bool Relu);
 
+  /// Incremental forms of forward() and forwardFused() (DESIGN.md §16):
+  /// recompute only the output pixels whose window meets a dirty input
+  /// rectangle, as one patch GEMM over every item of the batch, and copy
+  /// the rest from the base output kept by this layer. Fast kernels only.
+  Tensor forwardDelta(const Tensor &In, DeltaBatch &D) override {
+    return forwardFusedDelta(In, D, nullptr, false);
+  }
+  Tensor forwardFusedDelta(const Tensor &In, DeltaBatch &D,
+                           const BatchNorm2d *Bn, bool Relu);
+
   Tensor backward(const Tensor &GradOut) override;
   void collectParams(const std::string &Prefix,
                      std::vector<ParamRef> &Params) override;
+  void freeze() override { Frozen = true; }
   std::string name() const override { return "conv2d"; }
 
   size_t inChannels() const { return InC; }
@@ -55,11 +67,24 @@ public:
   size_t scratchReallocs() const { return ScratchReallocCount; }
 
 private:
+  /// An output rectangle of one batch item that a patch GEMM recomputes.
+  struct PatchRect {
+    size_t Item;
+    DirtyRect Rect;
+  };
+
   /// im2col into \p Cols (capacity-reusing) and return the {N,OutC,OH,OW}
   /// output tensor shell shared by all forward flavors.
   Tensor prepareForward(const Tensor &In, bool Train, size_t &N, size_t &OH,
                         size_t &OW, Tensor *&Cols);
-  void packWeight();
+  /// The packed weight and the fused epilogue for a fast forward; packs
+  /// and folds \p Bn once when frozen, every call otherwise.
+  GemmEpilogue fastEpilogue(const BatchNorm2d *Bn, bool Relu);
+  /// The patch-GEMM half of forwardFusedDelta: items of \p D that are not
+  /// Full start as a copy of Base.
+  Tensor forwardPatches(const Tensor &In, const DeltaBatch &D,
+                        const BatchNorm2d *Bn, bool Relu, size_t OH,
+                        size_t OW);
   /// Counts a scratch growth event in the layer and in telemetry.
   void noteScratchRealloc(bool Grew);
 
@@ -74,12 +99,19 @@ private:
   // alternating batch shapes do not thrash the allocator.
   Tensor ScratchCols, ScratchOut;
   size_t ScratchReallocCount = 0;
-  // Fast-kernel scratch: Weight packed into MR-row panels (rebuilt every
-  // forward — packing is O(M*K) against the GEMM's O(M*K*N), and the
-  // optimizer mutates Weight in place between forwards) and the folded
-  // BatchNorm affine coefficients for the fused epilogue.
+  // Fast-kernel state: Weight packed into MR-row panels and the folded
+  // BatchNorm affine of the fused epilogue. Rebuilt every forward unless
+  // frozen, because the optimizer writes Weight in place between forwards.
+  bool Frozen = false;
   std::vector<float> PackedWeight;
+  const BatchNorm2d *FoldedBn = nullptr;
   std::vector<float> FusedScale, FusedShift;
+  // Incremental inference: the base image's output {1,OutC,OH,OW} and the
+  // patch GEMM's scratch.
+  Tensor Base;
+  std::vector<PatchRect> PatchRects;
+  std::vector<size_t> PatchOffsets;
+  std::vector<float> PatchWindow, PatchCols, PatchOut;
 };
 
 } // namespace oppsla

@@ -10,6 +10,11 @@ using namespace oppsla;
 
 Layer::~Layer() = default;
 
+Tensor Layer::forwardDelta(const Tensor &In, DeltaBatch &D) {
+  D.markAllFull();
+  return forward(In, /*Train=*/false);
+}
+
 void Layer::collectParams(const std::string &Prefix,
                           std::vector<ParamRef> &Params) {
   // Parameterless layers contribute nothing.

@@ -19,6 +19,7 @@
 #ifndef OPPSLA_NN_LAYER_H
 #define OPPSLA_NN_LAYER_H
 
+#include "nn/Incremental.h"
 #include "tensor/Tensor.h"
 
 #include <memory>
@@ -45,6 +46,15 @@ public:
   /// active dropout, ...).
   virtual Tensor forward(const Tensor &In, bool Train) = 0;
 
+  /// Incremental inference forward (DESIGN.md §16). \p D holds, per batch
+  /// item, where \p In may differ from the base image's input to this
+  /// layer; on return it holds where the output may differ from the base
+  /// output. The result is bit-identical to forward(In, false). Layers
+  /// that keep base activations record item D.NewBase's output. The
+  /// default runs forward() and marks every item Full, which is correct
+  /// for any layer.
+  virtual Tensor forwardDelta(const Tensor &In, DeltaBatch &D);
+
   /// Propagates \p GradOut (d loss / d output) to the input, accumulating
   /// parameter gradients. Must be called after a forward(Train=true) with
   /// matching shapes.
@@ -60,6 +70,14 @@ public:
   virtual void collectBuffers(const std::string &Prefix,
                               std::vector<std::pair<std::string, Tensor *>>
                                   &Buffers);
+
+  /// Declares the weights fixed for the rest of the layer's life, so
+  /// inference may cache forms derived from them (packed GEMM panels,
+  /// folded batchnorm) instead of rebuilding them every forward. Only
+  /// inference-owned models are frozen: training writes weights through
+  /// ParamRef and relies on the rebuild. Composite layers forward the
+  /// call to their children; the default does nothing.
+  virtual void freeze() {}
 
   /// Human-readable layer name for debugging and serialization.
   virtual std::string name() const = 0;

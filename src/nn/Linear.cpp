@@ -41,8 +41,12 @@ Tensor Linear::forward(const Tensor &In, bool Train) {
     // {N, OutF}, exactly this layer's output layout. Both paths reduce k
     // ascending through the same fma chain (fma is commutative in its
     // first two arguments), so this is bit-identical to the naive path.
-    PackedWeight.resize(gemmPackedSize(OutF, InF));
-    gemmPackA(Weight.data(), OutF, InF, PackedWeight.data());
+    // Frozen weights are packed once; otherwise every forward repacks,
+    // because the optimizer writes Weight in place between forwards.
+    if (!Frozen || PackedWeight.empty()) {
+      PackedWeight.resize(gemmPackedSize(OutF, InF));
+      gemmPackA(Weight.data(), OutF, InF, PackedWeight.data());
+    }
     ScratchInT.resize(InF * N);
     const float *InD = In2d.data();
     for (size_t I = 0; I != N; ++I)

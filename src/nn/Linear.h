@@ -25,6 +25,7 @@ public:
   Tensor backward(const Tensor &GradOut) override;
   void collectParams(const std::string &Prefix,
                      std::vector<ParamRef> &Params) override;
+  void freeze() override { Frozen = true; }
   std::string name() const override { return "linear"; }
 
   size_t inFeatures() const { return InF; }
@@ -38,7 +39,8 @@ private:
   Tensor Bias, BiasGrad;     ///< {OutF}
   Tensor CachedIn;           ///< {N, InF} from the last training forward
   // Inference scratch for the packed-GEMM path: the tile-major weight
-  // pack and the {InF, N} input transpose. Reused across calls.
+  // pack (built once when frozen) and the {InF, N} input transpose.
+  bool Frozen = false;
   std::vector<float> PackedWeight;
   std::vector<float> ScratchInT;
 };

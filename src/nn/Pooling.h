@@ -18,6 +18,10 @@ public:
       : Window(Window), Stride(Stride ? Stride : Window) {}
 
   Tensor forward(const Tensor &In, bool Train) override;
+  /// Runs the window loop in full, which at the zoo's map sizes costs
+  /// little more than copying a kept base output would, and maps the dirty
+  /// region through the window.
+  Tensor forwardDelta(const Tensor &In, DeltaBatch &D) override;
   Tensor backward(const Tensor &GradOut) override;
   std::string name() const override { return "maxpool2d"; }
 
@@ -34,6 +38,7 @@ public:
       : Window(Window), Stride(Stride ? Stride : Window) {}
 
   Tensor forward(const Tensor &In, bool Train) override;
+  Tensor forwardDelta(const Tensor &In, DeltaBatch &D) override;
   Tensor backward(const Tensor &GradOut) override;
   std::string name() const override { return "avgpool2d"; }
 

@@ -70,65 +70,75 @@ void Sequential::buildFusionPlan() {
 }
 
 Tensor Sequential::forward(const Tensor &In, bool Train) {
-  const bool Fast = !Train && !kernels::naive();
+  return run(In, Train, nullptr);
+}
+
+Tensor Sequential::forwardDelta(const Tensor &In, DeltaBatch &D) {
+  return run(In, /*Train=*/false, &D);
+}
+
+void Sequential::freeze() {
+  for (LayerPtr &L : Layers)
+    L->freeze();
+}
+
+Tensor Sequential::run(const Tensor &In, bool Train, DeltaBatch *D) {
+  // Incremental forwards always take the fast kernels.
+  const bool Fast = D || (!Train && !kernels::naive());
   if (Fast && FusionPlanLayers != Layers.size())
     buildFusionPlan();
+  // One step of the chain: a fused conv run or a single layer.
+  auto Step = [&](const FusedStep &St, const Tensor &X) {
+    if (D)
+      return St.Conv ? St.Conv->forwardFusedDelta(X, *D, St.Bn, St.Relu)
+                     : Layers[St.Begin]->forwardDelta(X, *D);
+    return St.Conv ? St.Conv->forwardFused(X, St.Bn, St.Relu)
+                   : Layers[St.Begin]->forward(X, Train);
+  };
 
-  const bool Timing = telemetry::layerTimingEnabled();
-  const bool Prof = telemetry::profilingEnabled();
-  if ((Timing || Prof) && ForwardDepth == 0) {
-    if (Prof && SpanNames.size() != Layers.size()) {
-      // Models are cloned per worker thread, so the lazy build races
-      // nothing: only the owning thread runs this forward.
-      SpanNames.clear();
-      SpanNames.reserve(Layers.size());
-      char Key[160];
-      for (size_t I = 0; I != Layers.size(); ++I) {
-        std::snprintf(Key, sizeof(Key), "nn.%02zu.%s", I,
-                      Layers[I]->name().c_str());
-        SpanNames.push_back(telemetry::internProfileName(Key));
-      }
+  const bool Outer = ForwardDepth == 0;
+  const bool Timing = Outer && telemetry::layerTimingEnabled();
+  const bool Prof = Outer && telemetry::profilingEnabled();
+  if (Prof && SpanNames.size() != Layers.size()) {
+    // Models are cloned per worker thread, so the lazy build races
+    // nothing: only the owning thread runs this forward.
+    SpanNames.clear();
+    SpanNames.reserve(Layers.size());
+    char Key[160];
+    for (size_t I = 0; I != Layers.size(); ++I) {
+      std::snprintf(Key, sizeof(Key), "nn.%02zu.%s", I,
+                    Layers[I]->name().c_str());
+      SpanNames.push_back(telemetry::internProfileName(Key));
     }
-    ++ForwardDepth;
-    telemetry::ProfileScope ForwardSpan(Prof ? "nn.forward" : nullptr);
-    Tensor X = In;
-    size_t Step = 0;
-    for (size_t I = 0; I != Layers.size();) {
-      // A fused step is attributed to its conv layer's span/counter; the
-      // folded BatchNorm/ReLU layers simply do not appear in that run.
-      telemetry::ProfileScope LayerSpan(Prof ? SpanNames[I] : nullptr);
-      const auto T0 = std::chrono::steady_clock::now();
-      size_t Count = 1;
-      if (Fast) {
-        const FusedStep &St = FusionPlan[Step++];
-        Count = St.Count;
-        X = St.Conv ? St.Conv->forwardFused(X, St.Bn, St.Relu)
-                    : Layers[I]->forward(X, Train);
-      } else {
-        X = Layers[I]->forward(X, Train);
-      }
-      if (Timing) {
-        const auto Us =
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - T0)
-                .count();
-        recordLayerTime(I, Layers[I]->name(), static_cast<uint64_t>(Us));
-      }
-      I += Count;
+  }
+  ++ForwardDepth;
+  telemetry::ProfileScope ForwardSpan(Prof ? "nn.forward" : nullptr);
+  // Each step reads the previous step's output in place; the input itself
+  // is never copied.
+  Tensor X;
+  const Tensor *Cur = &In;
+  for (size_t I = 0, StepIdx = 0; I != Layers.size();) {
+    // A fused step is attributed to its conv layer's span/counter; the
+    // folded BatchNorm/ReLU layers simply do not appear in that run.
+    telemetry::ProfileScope LayerSpan(Prof ? SpanNames[I] : nullptr);
+    const auto T0 = Timing ? std::chrono::steady_clock::now()
+                           : std::chrono::steady_clock::time_point();
+    FusedStep St;
+    St.Begin = I;
+    if (Fast)
+      St = FusionPlan[StepIdx++];
+    X = Step(St, *Cur);
+    Cur = &X;
+    if (Timing) {
+      const auto Us = std::chrono::duration_cast<std::chrono::microseconds>(
+                          std::chrono::steady_clock::now() - T0)
+                          .count();
+      recordLayerTime(I, Layers[I]->name(), static_cast<uint64_t>(Us));
     }
-    --ForwardDepth;
-    return X;
+    I += St.Count;
   }
-  Tensor X = In;
-  if (Fast) {
-    for (const FusedStep &St : FusionPlan)
-      X = St.Conv ? St.Conv->forwardFused(X, St.Bn, St.Relu)
-                  : Layers[St.Begin]->forward(X, Train);
-    return X;
-  }
-  for (LayerPtr &L : Layers)
-    X = L->forward(X, Train);
-  return X;
+  --ForwardDepth;
+  return Cur == &In ? Tensor(In) : std::move(X);
 }
 
 Tensor Sequential::backward(const Tensor &GradOut) {

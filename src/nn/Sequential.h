@@ -50,6 +50,10 @@ public:
   }
 
   Tensor forward(const Tensor &In, bool Train) override;
+  /// Chains the layers' incremental forwards through the same fusion plan
+  /// as a fast inference forward.
+  Tensor forwardDelta(const Tensor &In, DeltaBatch &D) override;
+  void freeze() override;
   Tensor backward(const Tensor &GradOut) override;
   void collectParams(const std::string &Prefix,
                      std::vector<ParamRef> &Params) override;
@@ -74,6 +78,10 @@ private:
     BatchNorm2d *Bn = nullptr;
     bool Relu = false;
   };
+
+  /// forward() when \p D is null, forwardDelta() otherwise; one loop so
+  /// both carry the same profiler spans and layer timing.
+  Tensor run(const Tensor &In, bool Train, DeltaBatch *D);
 
   /// Rebuilds FusionPlan to tile [0, Layers.size()). Lazily invoked on the
   /// first fast-kernel inference forward and whenever the layer count

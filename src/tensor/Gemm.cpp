@@ -185,22 +185,36 @@ void microKernelFull(const float *__restrict Panel, const float *__restrict B,
 #endif
 }
 
-/// Column-tail variant (Cols < NR): same chains, shorter j-loop.
-void microKernelTail(const float *Panel, const float *B, size_t Ldb, size_t K,
-                     size_t Cols, float Acc[MR][NR]) {
-  for (size_t R = 0; R != MR; ++R)
-    for (size_t J = 0; J != NR; ++J)
-      Acc[R][J] = 0.0f;
+#if defined(OPPSLA_GEMM_V16)
+/// Two panels' tiles at once: the same per-lane fma chains as two
+/// microKernelFull calls, with twelve independent accumulators in flight
+/// instead of six, so a narrow product is no longer bound by the fma
+/// latency of one panel's chains.
+void microKernelPair(const float *__restrict Panel0,
+                     const float *__restrict Panel1,
+                     const float *__restrict B, size_t Ldb, size_t K,
+                     float Acc0[MR][NR], float Acc1[MR][NR]) {
+  V16 A0[MR] = {}, A1[MR] = {};
   for (size_t Kk = 0; Kk != K; ++Kk) {
-    const float *BRow = B + Kk * Ldb;
-    const float *APack = Panel + Kk * MR;
+    V16 BV;
+    std::memcpy(&BV, B + Kk * Ldb, sizeof(V16));
     for (size_t R = 0; R != MR; ++R) {
-      const float AV = APack[R];
-      for (size_t J = 0; J != Cols; ++J)
-        Acc[R][J] = std::fma(AV, BRow[J], Acc[R][J]);
+      const float A = Panel0[Kk * MR + R];
+      const V16 AV = {A, A, A, A, A, A, A, A, A, A, A, A, A, A, A, A};
+      A0[R] = AV * BV + A0[R]; // contracts to one fused fma per lane
+    }
+    for (size_t R = 0; R != MR; ++R) {
+      const float A = Panel1[Kk * MR + R];
+      const V16 AV = {A, A, A, A, A, A, A, A, A, A, A, A, A, A, A, A};
+      A1[R] = AV * BV + A1[R];
     }
   }
+  for (size_t R = 0; R != MR; ++R) {
+    std::memcpy(&Acc0[R][0], &A0[R], sizeof(V16));
+    std::memcpy(&Acc1[R][0], &A1[R], sizeof(V16));
+  }
 }
+#endif
 
 /// Applies the epilogue to one accumulator row and stores it contiguously.
 /// Mirrors the reference path op-for-op: conv bias add (0.0f when the
@@ -251,6 +265,25 @@ void storeTile(const float Acc[MR][NR], float *Out, size_t M, size_t Plane,
   }
 }
 
+/// Copies columns [J, J+Cols) of B (Cols < NR) into a K x NR block whose
+/// lanes past Cols are zero, so the tail of a column block runs the full
+/// microkernel too. Each stored lane still runs its own k-ascending fma
+/// chain over the same operands, so results match the naive path bit for
+/// bit; the padded lanes are computed and dropped.
+const float *padTail(const float *B, size_t Ldb, size_t K, size_t Cols) {
+  thread_local std::vector<float> Tail;
+  Tail.resize(K * NR);
+  // Plain loops, not memcpy/memset: the rows are a few floats, where the
+  // call overhead exceeds the copy.
+  for (size_t Kk = 0; Kk != K; ++Kk) {
+    float *Row = Tail.data() + Kk * NR;
+    const float *Src = B + Kk * Ldb;
+    for (size_t J = 0; J != NR; ++J)
+      Row[J] = J < Cols ? Src[J] : 0.0f;
+  }
+  return Tail.data();
+}
+
 /// Computes output columns [J0, J1) of the whole product: for each K x NC
 /// B-block, sweep every packed A panel so the block stays cache-hot.
 void runColumns(const float *Pack, const float *B, float *Out, size_t M,
@@ -260,17 +293,38 @@ void runColumns(const float *Pack, const float *B, float *Out, size_t M,
   float Acc[MR][NR];
   for (size_t Jc = J0; Jc < J1; Jc += NC) {
     const size_t JcEnd = std::min(Jc + NC, J1);
-    for (size_t P = 0; P != Panels; ++P) {
+    const size_t TailJ = JcEnd - (JcEnd - Jc) % NR;
+    const size_t TailCols = JcEnd - TailJ;
+    const float *Tail =
+        TailCols ? padTail(B + TailJ, N, K, TailCols) : nullptr;
+    size_t P = 0;
+#if defined(OPPSLA_GEMM_V16)
+    // Panels in pairs while two are left, then the usual one at a time.
+    float Acc2[MR][NR];
+    for (; P + 1 < Panels; P += 2) {
+      const float *Panel = Pack + P * K * MR;
+      const size_t I0 = P * MR;
+      const size_t Rows1 = std::min(MR, M - I0 - MR);
+      for (size_t J = Jc; J < JcEnd; J += NR) {
+        const bool IsTail = J == TailJ;
+        microKernelPair(Panel, Panel + K * MR, IsTail ? Tail : B + J,
+                        IsTail ? NR : N, K, Acc, Acc2);
+        const size_t Cols = IsTail ? TailCols : NR;
+        storeTile(Acc, Out, M, Plane, I0, MR, J, Cols, Ep);
+        storeTile(Acc2, Out, M, Plane, I0 + MR, Rows1, J, Cols, Ep);
+      }
+    }
+#endif
+    for (; P != Panels; ++P) {
       const float *Panel = Pack + P * K * MR;
       const size_t I0 = P * MR;
       const size_t Rows = std::min(MR, M - I0);
       for (size_t J = Jc; J < JcEnd; J += NR) {
-        const size_t Cols = std::min(NR, JcEnd - J);
-        if (Cols == NR)
-          microKernelFull(Panel, B + J, N, K, Acc);
-        else
-          microKernelTail(Panel, B + J, N, K, Cols, Acc);
-        storeTile(Acc, Out, M, Plane, I0, Rows, J, Cols, Ep);
+        const bool IsTail = J == TailJ;
+        microKernelFull(Panel, IsTail ? Tail : B + J, IsTail ? NR : N, K,
+                        Acc);
+        storeTile(Acc, Out, M, Plane, I0, Rows, J, IsTail ? TailCols : NR,
+                  Ep);
       }
     }
   }

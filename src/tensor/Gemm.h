@@ -14,7 +14,10 @@
 ///     microkernel over the packed panels with a fused epilogue
 ///     (per-row bias + batchnorm affine + ReLU) applied as each output
 ///     tile leaves the registers — the conv hot path writes the output
-///     tensor exactly once;
+///     tensor exactly once. A column tail narrower than NR is copied
+///     into a zero-padded NR-wide block and runs the same microkernel,
+///     so narrow products (batch-1 Linear, patch GEMMs) pay no scalar
+///     path;
 ///   - column-range threading over the existing ThreadPool, deterministic
 ///     at any thread count because output columns partition disjointly;
 ///   - the process-wide naive-kernels escape hatch behind the CLI's

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 using namespace oppsla;
 
@@ -106,83 +107,42 @@ void oppsla::im2col(const Tensor &Input, size_t KH, size_t KW, size_t Stride,
   assert(Cols.rank() == 2 && Cols.dim(0) == Rows && Cols.dim(1) == ColsN &&
          "im2col output shape");
 
-  const float *In = Input.data();
+  // Each padded plane is first copied into a zero-bordered scratch plane,
+  // so every (Ki, Kj) row of the matrix is OH plain segments of a window
+  // of it, with no bounds tests; unpadded planes are read in place. At
+  // the zoo's small maps the per-segment bounds logic used to cost more
+  // than the copying.
+  const size_t WP = W + 2 * Pad;
+  thread_local std::vector<float> Padded;
+  if (Pad)
+    Padded.assign((H + 2 * Pad) * WP, 0.0f); // borders stay zero
   float *Out = Cols.data();
-  for (size_t Ch = 0; Ch != C; ++Ch) {
-    for (size_t Ki = 0; Ki != KH; ++Ki) {
-      // Vertical split: Ii = Oi*Stride + Ki - Pad is in [0, H) exactly for
-      // Oi in [OiLo, OiHi). Everything outside is zero padding, filled as
-      // one block per image instead of row by row.
-      const long IOff = static_cast<long>(Ki) - static_cast<long>(Pad);
-      size_t OiLo =
-          IOff >= 0 ? 0 : (static_cast<size_t>(-IOff) + Stride - 1) / Stride;
-      size_t OiHi =
-          IOff >= static_cast<long>(H)
-              ? 0
-              : (static_cast<size_t>(static_cast<long>(H) - IOff) + Stride -
-                 1) /
-                    Stride;
-      OiHi = std::min(OiHi, OH);
-      OiLo = std::min(OiLo, OiHi);
-      for (size_t Kj = 0; Kj != KW; ++Kj) {
-        const size_t Row = (Ch * KH + Ki) * KW + Kj;
-        float *OutRow = Out + Row * ColsN;
-        // Horizontal split, hoisted out of the per-row loop: the two
-        // ceil-divisions here are loop-invariant, and at small output
-        // widths they used to dominate the actual copying. Jj = Oj*Stride
-        // + Off is in [0, W) exactly for Oj in [Lo, Hi).
-        const long Off = static_cast<long>(Kj) - static_cast<long>(Pad);
-        size_t Lo =
-            Off >= 0 ? 0 : (static_cast<size_t>(-Off) + Stride - 1) / Stride;
-        size_t Hi =
-            Off >= static_cast<long>(W)
-                ? 0
-                : (static_cast<size_t>(static_cast<long>(W) - Off) + Stride -
-                   1) /
-                      Stride;
-        Hi = std::min(Hi, OW);
-        Lo = std::min(Lo, Hi);
-        // When the copy covers the full output row at stride 1 and Off ==
-        // 0, consecutive output rows read consecutive input rows with
-        // matching pitch (OW == W), so the whole in-bounds block is one
-        // contiguous copy per image.
-        const bool FullRows =
-            Stride == 1 && Off == 0 && Lo == 0 && Hi == OW && OW == W;
-        for (size_t B = 0; B != N; ++B) {
-          const float *InPlane = In + (B * C + Ch) * H * W;
-          float *OutBase = OutRow + B * OH * OW;
-          std::fill(OutBase, OutBase + OiLo * OW, 0.0f);
-          std::fill(OutBase + OiHi * OW, OutBase + OH * OW, 0.0f);
-          if (FullRows) {
-            std::memcpy(OutBase + OiLo * OW,
-                        InPlane +
-                            static_cast<size_t>(
-                                static_cast<long>(OiLo * Stride) + IOff) *
-                                W,
-                        (OiHi - OiLo) * OW * sizeof(float));
+  for (size_t B = 0; B != N; ++B) {
+    for (size_t Ch = 0; Ch != C; ++Ch) {
+      const float *Src = Input.data() + (B * C + Ch) * H * W;
+      if (Pad) {
+        for (size_t I = 0; I != H; ++I)
+          std::memcpy(Padded.data() + (I + Pad) * WP + Pad, Src + I * W,
+                      W * sizeof(float));
+        Src = Padded.data();
+      }
+      for (size_t Ki = 0; Ki != KH; ++Ki) {
+        for (size_t Kj = 0; Kj != KW; ++Kj) {
+          float *Dst = Out + ((Ch * KH + Ki) * KW + Kj) * ColsN + B * OH * OW;
+          const float *Window = Src + Ki * WP + Kj;
+          if (Stride == 1 && OW == WP) {
+            // Full-width rows (a 1-wide unpadded kernel): one block.
+            std::memcpy(Dst, Window, OH * OW * sizeof(float));
             continue;
           }
-          for (size_t Oi = OiLo; Oi != OiHi; ++Oi) {
-            const float *InRow =
-                InPlane + static_cast<size_t>(
-                              static_cast<long>(Oi * Stride) + IOff) *
-                              W;
-            float *OutPos = OutBase + Oi * OW;
-            for (size_t Oj = 0; Oj != Lo; ++Oj)
-              OutPos[Oj] = 0.0f;
-            if (Stride == 1) {
-              // Plain loop, not memcpy: segments are a few dozen floats,
-              // where the call overhead exceeds the copy; this form
-              // auto-vectorizes to unrolled vector moves.
-              const float *Src = InRow + (static_cast<long>(Lo) + Off);
-              for (size_t Oj = Lo; Oj != Hi; ++Oj)
-                OutPos[Oj] = Src[Oj - Lo];
-            } else
-              for (size_t Oj = Lo; Oj != Hi; ++Oj)
-                OutPos[Oj] = InRow[static_cast<size_t>(
-                    static_cast<long>(Oj * Stride) + Off)];
-            for (size_t Oj = Hi; Oj != OW; ++Oj)
-              OutPos[Oj] = 0.0f;
+          for (size_t Oi = 0; Oi != OH; ++Oi, Dst += OW) {
+            const float *Row = Window + Oi * Stride * WP;
+            if (Stride == 1)
+              for (size_t Oj = 0; Oj != OW; ++Oj)
+                Dst[Oj] = Row[Oj];
+            else
+              for (size_t Oj = 0; Oj != OW; ++Oj)
+                Dst[Oj] = Row[Oj * Stride];
           }
         }
       }

@@ -1,5 +1,5 @@
 # Exercises the parallel evaluation sweep end to end; registered only when
-# the build was configured with -DOPPSLA_SANITIZE=thread|address, so any
+# the build was configured with -DOPPSLA_SANITIZE=thread|address|undefined, so any
 # data race (or memory error) in the worker pool, the classifier clones, or
 # the per-run attack state fails the test via the sanitizer runtime.
 file(MAKE_DIRECTORY ${WORK_DIR})

@@ -97,6 +97,24 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(10, 100, 150) // N straddles NC
                       ));
 
+TEST(GemmTail, EveryTailWidthBitIdenticalToReferenceMatmul) {
+  // Column tails are padded to a full NR tile; each stored lane must keep
+  // its own fma chain. Cover every width below NR, alone and after full
+  // tiles, with M tails and K from 1 to a Linear-sized reduction.
+  for (size_t M : {1u, 6u, 10u})
+    for (size_t K : {1u, 27u, 512u})
+      for (size_t Cols = 1; Cols != kernels::NR; ++Cols)
+        for (size_t N : {Cols, 2 * kernels::NR + Cols}) {
+          const Tensor A = randomTensor({M, K}, 40 + M + K);
+          const Tensor B = randomTensor({K, N}, 50 + N);
+          Tensor Ref({M, N});
+          matmul(A, B, Ref);
+          SCOPED_TRACE("M=" + std::to_string(M) + " K=" + std::to_string(K) +
+                       " N=" + std::to_string(N));
+          expectBitIdentical(fastMatmul(A, B, GemmEpilogue{}), Ref);
+        }
+}
+
 TEST(GemmEpilogueTest, BiasScaleShiftReluMatchReferenceOps) {
   const size_t M = 9, K = 31, N = 21;
   const Tensor A = randomTensor({M, K}, 3);

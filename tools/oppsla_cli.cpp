@@ -43,6 +43,7 @@
 #include "support/ArgParse.h"
 #include "support/Http.h"
 #include "support/Json.h"
+#include "support/Logging.h"
 #include "support/Metrics.h"
 #include "support/Profiler.h"
 #include "support/Progress.h"
@@ -814,8 +815,9 @@ int main(int argc, char **argv) {
         static_cast<uint16_t>(Args.getInt("stats-port", 0));
     if (!Server.start(Port))
       return 1;
-    std::cerr << "stats server listening on 127.0.0.1:" << Server.port()
-              << "\n";
+    // Logged under the run trace context before the port file exists, so
+    // a scraper that found the port always finds a /logz record too.
+    logInfo() << "stats server listening on 127.0.0.1:" << Server.port();
     const std::string PortFile = Args.get("stats-port-file", "");
     if (!PortFile.empty()) {
       std::ofstream OS(PortFile);
